@@ -2,7 +2,8 @@
 
 Usage (from ``run.py``; stdout is the ``p2pmpirun`` output)::
 
-    python3 perfbench/passrun.py --result FILE [--probe | --trace] \\
+    python3 perfbench/passrun.py --result FILE \\
+        [--probe | --trace {spans,counts}] \\
         -- run fig2 --seed 0 --jobs 1 --out STORE
 
 The pass calls ``repro.cli.main`` with the given argv, exactly as the
@@ -11,7 +12,8 @@ through the engine's ``progress`` hook.
 
 ``--probe`` stops the pass when the first cell starts: it measures
 set-up (imports, argv parsing, spec construction, store opening).
-``--trace`` installs :class:`tracer.Tracer` around the pass.
+``--trace MODE`` installs :class:`tracer.Tracer` in that mode around
+the pass.
 
 ``FILE`` receives one JSON object: the cells' keys and wall times, the
 ``time.monotonic`` instant the first cell started, the peak RSS, and
@@ -39,7 +41,7 @@ def main() -> int:
     parser.add_argument("--result", required=True)
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--probe", action="store_true")
-    mode.add_argument("--trace", action="store_true")
+    mode.add_argument("--trace", choices=("spans", "counts"))
     parser.add_argument("argv", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     argv = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
@@ -68,7 +70,7 @@ def main() -> int:
     if args.trace:
         sys.path.insert(0, str(HERE))
         from tracer import Tracer
-        tracer = Tracer()
+        tracer = Tracer(args.trace)
         tracer.install()
     try:
         rc = cli.main(argv)

@@ -2,30 +2,32 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload latratio --seed 0 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload latratio --seed 0 --seconds 32 --trace 0
 
 Each workload (``workloads.py``) is one ``p2pmpirun run`` grid run
 serially (``--jobs 1``), one pass per fresh interpreter, the way a user
 runs a campaign.
 
-``--trace 0`` makes set-up probes and timed passes and prints the
-end-to-end metrics:
+``--trace 0`` makes set-up probes and timed passes, the probes spread
+between the passes, and prints the end-to-end metrics:
 
 * ``campaign_s`` — wall time of one pass, spawn to exit; median over
   the run's passes;
 * ``cell_s.p50`` — median cell wall time, from the engine's progress
   hook, pooled over the passes;
+* ``cell_s.tail`` — the workload's fixed percentile
+  (``Workload.tail_pct``) of the same pooled cell times;
 * ``setup_s`` — interpreter start to first cell start; median of the
   probes after the first, which also compiles bytecode;
 * ``peak_rss_mb`` — peak RSS of a pass process; median over passes.
 
-``--trace 1`` runs one untraced and one traced pass and prints the
-per-layer metrics of the traced one (``tracer.py``).
+``--trace 1`` runs one untraced pass, one pass traced with spans and
+one with counters, and prints the per-layer metrics (``tracer.py``).
 
 Every pass is checked (``workloads.failed_cells``); the last line of
-stdout is ``{"correct", "attempted", "failed", "metrics"}``.  Progress
-and the tail percentile go to stderr.  The exit code is 2, with
-nothing printed, when the checkout holds no ``src/repro``.
+stdout is ``{"correct", "attempted", "failed", "metrics"}``.  Progress,
+pass and sample counts go to stderr.  The exit code is 2, with nothing
+printed, when the checkout holds no ``src/repro``.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ sys.path.insert(0, str(HERE))
 
 from tracer import self_times  # noqa: E402
 from workloads import (WORKLOADS, PassDigest, Workload, digest_pass,  # noqa: E402
-                       failed_cells, load_pins, pass_argv, tail_percentile)
+                       failed_cells, load_pins, pass_argv)
 
 #: Set-up probes per timed run; the first is discarded.
-PROBES = 7
+PROBES = 13
 #: Every run ends within this many seconds of starting.
 DEADLINE_S = 170.0
+#: No further pass starts once a timed run is expected to overrun
+#: ``--seconds`` by this factor (a host far slower than nominal).
+OVERRUN = 2.0
 
 
 def log(msg: str) -> None:
@@ -82,16 +87,18 @@ class Runner:
         self.count = 0
 
     def run_pass(self, mode: Optional[str] = None) -> PassOutcome:
-        """One pass in a fresh interpreter; ``mode`` is ``probe`` or
-        ``trace``."""
+        """One pass in a fresh interpreter; ``mode`` is ``probe`` or a
+        tracer mode (``spans``, ``counts``)."""
         self.count += 1
         store = self.scratch / f"store-{self.count}"
         result = self.scratch / f"pass-{self.count}.json"
         stdout = self.scratch / f"stdout-{self.count}.txt"
         cmd = [sys.executable, str(HERE / "passrun.py"), "--result",
                str(result)]
-        if mode:
-            cmd.append(f"--{mode}")
+        if mode == "probe":
+            cmd.append("--probe")
+        elif mode:
+            cmd += ["--trace", mode]
         cmd += ["--", *pass_argv(self.workload.argv, self.seed, store)]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -136,47 +143,74 @@ def check_passes(workload: Workload, seed: int,
     return failed
 
 
+def probe_slots(probes: int, passes: int) -> List[int]:
+    """How many probes to run before each pass and after the last.
+
+    The first probe only compiles bytecode; the others are spread
+    evenly so that the set-up median samples the whole run.
+    """
+    kept = probes - 1
+    slots = [kept // (passes + 1)] * (passes + 1)
+    for i in range(kept % (passes + 1)):
+        slots[i] += 1
+    slots[0] += 1
+    return slots
+
+
 def timed_run(workload: Workload, seed: int, seconds: float,
               scratch: Path, deadline: float) -> Dict:
     runner = Runner(workload, seed, scratch, deadline)
-    probes = [runner.run_pass("probe") for _ in range(PROBES)]
-    setups = [p.setup_s for p in probes[1:] if p.setup_s is not None]
-    passes = []
-    for i in range(workload.passes(seconds)):
+    planned = workload.passes(seconds)
+    start = time.monotonic()
+    setups: List[Optional[float]] = []
+    passes: List[PassOutcome] = []
+    for i, slot in enumerate(probe_slots(PROBES, planned)):
+        setups += [runner.run_pass("probe").setup_s for _ in range(slot)]
+        if i == planned:
+            break
+        elapsed = time.monotonic() - start
+        if passes and elapsed + passes[-1].wall_s > OVERRUN * seconds:
+            continue
         passes.append(runner.run_pass())
-        log(f"{workload.name} pass {i + 1}: {passes[-1].wall_s:.3f} s")
+        log(f"{workload.name} pass {len(passes)}: "
+            f"{passes[-1].wall_s:.3f} s")
+    kept = [s for s in setups[1:] if s is not None]
     failed = check_passes(workload, seed, passes)
     attempted = workload.cells * len(passes)
     good = [p for p in passes if p.ok]
     cells = [s for p in good for _key, s in p.data["cells"]]
     correct = (failed == 0 and len(good) == len(passes)
-               and len(setups) == PROBES - 1)
+               and len(kept) == PROBES - 1)
     metrics = {}
-    if good and cells and setups:
+    if good and cells and kept:
         metrics = {
             "campaign_s": (statistics.median(p.wall_s for p in good), "s"),
             "cell_s.p50": (statistics.median(cells), "s"),
-            "setup_s": (statistics.median(setups), "s"),
+            "cell_s.tail": (tail(cells, workload.tail_pct), "s"),
+            "setup_s": (statistics.median(kept), "s"),
             "peak_rss_mb": (statistics.median(
                 p.data["peak_rss_mb"] for p in good), "MB"),
         }
-    log(f"{workload.name}: {len(passes)} passes, {len(cells)} cell samples, "
-        f"{len(setups)} set-up probes kept of {PROBES}")
-    pct = tail_percentile(len(cells))
-    if pct is None:
-        log(f"{workload.name}: no cell tail: {len(cells)} samples leave "
-            f"fewer than ten beyond p50")
-    else:
-        tail = statistics.quantiles(cells, n=100, method="inclusive")[pct - 1]
-        log(f"{workload.name}: cell_s.p{pct} = {tail:.4f} s")
+    log(f"{workload.name}: {len(passes)} of {planned} passes, "
+        f"{len(cells)} cell samples, cell_s.tail is p{workload.tail_pct}, "
+        f"{len(kept)} set-up probes kept of {PROBES}")
     return {"correct": correct, "attempted": attempted, "failed": failed,
             "metrics": metrics}
 
 
-def layer_metrics(trace: Dict, untraced_s: float, traced_s: float) -> Dict:
-    """Per-layer metrics of one traced pass (see ``NOTES.md``)."""
+def tail(samples: List[float], pct: int) -> float:
+    """The ``pct``-th percentile of ``samples`` (inclusive method)."""
+    if len(samples) < 2:
+        return samples[0]
+    return statistics.quantiles(samples, n=100, method="inclusive")[pct - 1]
+
+
+def layer_metrics(trace: Dict, counted: Dict, untraced_s: float,
+                  traced_s: float) -> Dict:
+    """Per-layer metrics of a span-traced and a counted pass (see
+    ``NOTES.md``)."""
     selfs = self_times(trace["spans"])
-    counts = trace["counts"]
+    counts = {**trace["counts"], **counted["counts"]}
 
     def self_s(name: str) -> float:
         return selfs.get(name, (0.0, 0))[0]
@@ -206,6 +240,15 @@ def layer_metrics(trace: Dict, untraced_s: float, traced_s: float) -> Dict:
         "net.inbox_predicate_evals": (evals, "count"),
         "net.deliveries_per_predicate_eval": (
             count("net.delivered") / evals if evals else 0.0, "ratio"),
+        "net.path_metrics_calls": (count("net.path_metrics_calls"),
+                                   "count"),
+        "net.site_path_metrics_calls": (
+            count("net.site_path_metrics_calls"), "count"),
+        "alloc.neighbor_map_calls": (calls("alloc.neighbor_map"), "count"),
+        "alloc.neighbor_map_s": (self_s("alloc.neighbor_map"), "s"),
+        "alloc.diffusive_moves_s": (self_s("alloc.diffusive_moves"), "s"),
+        "ft.migrations": (count("ft.migrations"), "count"),
+        "ft.rejoins": (count("ft.rejoins"), "count"),
         "alloc.plan_s": (self_s("alloc.plan"), "s"),
         "middleware.submit_s": (self_s("middleware.submit"), "s"),
         "middleware.try_admit_calls": (admits, "count"),
@@ -232,19 +275,21 @@ def layer_metrics(trace: Dict, untraced_s: float, traced_s: float) -> Dict:
 def traced_run(workload: Workload, seed: int, scratch: Path,
                deadline: float) -> Dict:
     runner = Runner(workload, seed, scratch, deadline)
-    untraced = runner.run_pass()
-    traced = runner.run_pass("trace")
+    passes = [runner.run_pass(), runner.run_pass("spans"),
+              runner.run_pass("counts")]
+    untraced, traced, counted = passes
     log(f"{workload.name}: untraced pass {untraced.wall_s:.3f} s, "
-        f"traced pass {traced.wall_s:.3f} s")
-    passes = [untraced, traced]
+        f"span-traced pass {traced.wall_s:.3f} s, "
+        f"counted pass {counted.wall_s:.3f} s")
     failed = check_passes(workload, seed, passes)
     attempted = workload.cells * len(passes)
     metrics = {}
     pristine = False
-    if untraced.ok and traced.ok:
+    if all(p.ok for p in passes):
         trace = traced.data["trace"]
-        pristine = trace["pristine"]
-        metrics = layer_metrics(trace, untraced.wall_s, traced.wall_s)
+        pristine = trace["pristine"] and counted.data["trace"]["pristine"]
+        metrics = layer_metrics(trace, counted.data["trace"],
+                                untraced.wall_s, traced.wall_s)
         shares = sorted(self_times(trace["spans"]).items(),
                         key=lambda kv: -kv[1][0])
         log("self time by layer: " + ", ".join(
@@ -284,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=32.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():

@@ -1,12 +1,12 @@
 """Self-tests of the benchmark.
 
-Run from the root of a checkout (about a minute)::
+Run from the root of a checkout (about 15 s)::
 
     python3 -m pytest perfbench/test_perfbench.py -q
 
-They use tiny grids of the four campaigns (``Workload.smoke_argv``),
-not the benchmark's own, so they check the benchmark's machinery, not
-the program's speed.
+They use tiny grids of the benchmarked campaigns
+(``Workload.smoke_argv``), not the benchmark's own, so they check the
+benchmark's machinery, not the program's speed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
 import run  # noqa: E402
-from tracer import PRELOAD, Tracer  # noqa: E402
-from workloads import WORKLOADS, digest_pass, failed_cells  # noqa: E402
+from tracer import MODES, PRELOAD, Tracer  # noqa: E402
+from workloads import (WORKLOADS, digest_pass, failed_cells,  # noqa: E402
+                       tail_percentile)
 
 SPEC = json.loads((HERE.parent / "BENCHMARK.json").read_text())
 
@@ -45,7 +46,8 @@ def _units(result):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_smoke_run_completes_and_is_correct(name):
+def test_smoke_run_completes_and_is_correct(name, monkeypatch):
+    monkeypatch.setattr(run, "PROBES", 3)
     result = run.run_workload(smoke(name), seed=0, seconds=1, trace=False)
     assert result["correct"], result
     assert result["failed"] == 0
@@ -56,21 +58,38 @@ def test_smoke_run_completes_and_is_correct(name):
         assert metric["value"] > 0
 
 
-def test_traced_run_prints_the_per_layer_metrics():
-    result = run.run_workload(smoke("tenants"), seed=0, seconds=1,
-                              trace=True)
+#: Per-layer counts each smoke grid must reach.
+LAYER_COUNTS = {
+    "tenants": ("net.inbox_predicate_evals", "controlplane.proposals",
+                "overlay.cache_adds"),
+    "migrate": ("alloc.neighbor_map_calls", "net.path_metrics_calls",
+                "ft.migrations"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_COUNTS))
+def test_traced_run_prints_the_per_layer_metrics(name):
+    result = run.run_workload(smoke(name), seed=0, seconds=1, trace=True)
     assert result["correct"], result
     assert _units(result) == {m["name"]: m["unit"]
                               for m in SPEC["per_layer"]}
     metrics = result["metrics"]
     assert metrics["cells_failed_frac"]["value"] == 0
-    assert metrics["overlay.boots"]["value"] == WORKLOADS["tenants"].smoke_cells
-    assert metrics["net.inbox_predicate_evals"]["value"] > 0
-    assert metrics["controlplane.proposals"]["value"] > 0
+    assert metrics["overlay.boots"]["value"] == WORKLOADS[name].smoke_cells
+    for count in LAYER_COUNTS[name]:
+        assert metrics[count]["value"] > 0, count
 
 
 def test_workload_names_match_the_spec():
     assert [w["name"] for w in SPEC["workloads"]] == list(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tail_percentile_is_fixed_at_the_spec_run_length(name):
+    w = WORKLOADS[name]
+    samples = w.passes(SPEC["run_seconds"]) * w.cells
+    assert w.tail_pct == tail_percentile(samples)
+    assert w.tail_pct >= 50
 
 
 def _snapshot():
@@ -87,12 +106,13 @@ def _snapshot():
     return snap
 
 
-def test_tracer_leaves_every_patched_attribute_pristine():
+@pytest.mark.parametrize("mode", MODES)
+def test_tracer_leaves_every_patched_attribute_pristine(mode):
     for module in PRELOAD:
         importlib.import_module(module)
     before = _snapshot()
     callbacks = list(gc.callbacks)
-    tracer = Tracer()
+    tracer = Tracer(mode)
     tracer.install()
     assert tracer.result()["patched"] > 0
     assert _snapshot() != before
