@@ -9,10 +9,15 @@ serially (``--jobs 1``), one pass per fresh interpreter, the way a user
 runs a campaign.
 
 ``--trace 0`` makes set-up probes and timed passes, the probes spread
-between the passes, and prints the end-to-end metrics:
+between the passes, and prints the end-to-end metrics.  The host's
+speed drifts by tens of percent over seconds to minutes, so each
+timed interval is scaled by the host's speed next to it (see
+``REFERENCE_CALIBRATION_S``); every metric is in seconds at the
+reference host's speed, and the raw wall times go to stderr.
 
-* ``campaign_s`` — wall time of one pass, spawn to exit; median over
-  the run's passes;
+* ``campaign_s`` — wall time of one pass, spawn to exit, less the
+  calibration loops inside it, each cell scaled on its own; median
+  over the run's passes;
 * ``cell_s.p50`` — median cell wall time, from the engine's progress
   hook, pooled over the passes;
 * ``cell_s.tail`` — the workload's fixed percentile
@@ -54,12 +59,20 @@ from workloads import (WORKLOADS, PassDigest, Workload, digest_pass,  # noqa: E4
                        failed_cells, load_pins, pass_argv)
 
 #: Set-up probes per timed run; the first is discarded.
-PROBES = 13
+PROBES = 10
+#: Time of ``passrun.calibrate`` on the reference host.  A timed pass
+#: runs the calibration loop after each cell, and a probe three times
+#: once it reaches the first cell; each cell time is multiplied by
+#: this over the mean of the calibration times just before and just
+#: after the cell, and a probe's time, or the time a pass spends
+#: outside its cells, by this over the median of its calibrations.
+REFERENCE_CALIBRATION_S = 0.012
 #: Every run ends within this many seconds of starting.
 DEADLINE_S = 170.0
 #: No further pass starts once a timed run is expected to overrun
-#: ``--seconds`` by this factor (a host far slower than nominal).
-OVERRUN = 2.0
+#: ``--seconds`` by this factor (a host far slower than nominal), so
+#: that a full comparison of two commits keeps to its time limit.
+OVERRUN = 1.5
 
 
 def log(msg: str) -> None:
@@ -86,15 +99,19 @@ class Runner:
         self.deadline = deadline
         self.count = 0
 
-    def run_pass(self, mode: Optional[str] = None) -> PassOutcome:
+    def run_pass(self, mode: Optional[str] = None,
+                 calibrate: bool = False) -> PassOutcome:
         """One pass in a fresh interpreter; ``mode`` is ``probe`` or a
-        tracer mode (``spans``, ``counts``)."""
+        tracer mode (``spans``, ``counts``).  ``calibrate`` times the
+        host's speed in the pass."""
         self.count += 1
         store = self.scratch / f"store-{self.count}"
         result = self.scratch / f"pass-{self.count}.json"
         stdout = self.scratch / f"stdout-{self.count}.txt"
         cmd = [sys.executable, str(HERE / "passrun.py"), "--result",
                str(result)]
+        if calibrate:
+            cmd.append("--calibrate")
         if mode == "probe":
             cmd.append("--probe")
         elif mode:
@@ -124,10 +141,44 @@ class Runner:
             if data["first_cell_at"] is None:
                 return PassOutcome(wall_s=wall, ok=False)
             outcome.setup_s = data["first_cell_at"] - start
+            if calibrate:
+                outcome.setup_s *= speed(data["calibration_s"])
         else:
             outcome.digest = digest_pass(
                 store, stdout.read_text(encoding="utf-8"))
         return outcome
+
+
+def speed(calibrations: List[float]) -> float:
+    """Reference host time per second of this host's time."""
+    return REFERENCE_CALIBRATION_S / statistics.median(calibrations)
+
+
+def calibrations(outcome: PassOutcome) -> List[float]:
+    """The calibration times of a calibrated pass, one per cell."""
+    return [c for _key, _s, c in outcome.data["cells"]]
+
+
+def scaled_campaign_s(outcome: PassOutcome) -> float:
+    """A calibrated pass's wall time at the reference host's speed:
+    its cells as :func:`scaled_cells` scales them, the rest (start-up,
+    checkpoints, report) at the median host speed of the pass, and its
+    calibration loops left out."""
+    loops = calibrations(outcome)
+    rest = (outcome.wall_s - sum(s for _key, s, _c in outcome.data["cells"])
+            - sum(loops))
+    return sum(scaled_cells(outcome)) + rest * speed(loops)
+
+
+def scaled_cells(outcome: PassOutcome) -> List[float]:
+    """A calibrated pass's cell times at the reference host's speed."""
+    cells = []
+    before = None
+    for _key, seconds, after in outcome.data["cells"]:
+        host_s = after if before is None else (before + after) / 2
+        cells.append(seconds * REFERENCE_CALIBRATION_S / host_s)
+        before = after
+    return cells
 
 
 def check_passes(workload: Workload, seed: int,
@@ -165,26 +216,31 @@ def timed_run(workload: Workload, seed: int, seconds: float,
     setups: List[Optional[float]] = []
     passes: List[PassOutcome] = []
     for i, slot in enumerate(probe_slots(PROBES, planned)):
-        setups += [runner.run_pass("probe").setup_s for _ in range(slot)]
+        setups += [runner.run_pass("probe", calibrate=True).setup_s
+                   for _ in range(slot)]
         if i == planned:
             break
         elapsed = time.monotonic() - start
         if passes and elapsed + passes[-1].wall_s > OVERRUN * seconds:
             continue
-        passes.append(runner.run_pass())
-        log(f"{workload.name} pass {len(passes)}: "
-            f"{passes[-1].wall_s:.3f} s")
+        outcome = runner.run_pass(calibrate=True)
+        passes.append(outcome)
+        if outcome.ok:
+            log(f"{workload.name} pass {len(passes)}: wall "
+                f"{outcome.wall_s:.3f} s, host speed "
+                f"{speed(calibrations(outcome)):.3f}× the reference")
     kept = [s for s in setups[1:] if s is not None]
     failed = check_passes(workload, seed, passes)
     attempted = workload.cells * len(passes)
     good = [p for p in passes if p.ok]
-    cells = [s for p in good for _key, s in p.data["cells"]]
+    cells = [s for p in good for s in scaled_cells(p)]
     correct = (failed == 0 and len(good) == len(passes)
                and len(kept) == PROBES - 1)
     metrics = {}
     if good and cells and kept:
         metrics = {
-            "campaign_s": (statistics.median(p.wall_s for p in good), "s"),
+            "campaign_s": (statistics.median(
+                scaled_campaign_s(p) for p in good), "s"),
             "cell_s.p50": (statistics.median(cells), "s"),
             "cell_s.tail": (tail(cells, workload.tail_pct), "s"),
             "setup_s": (statistics.median(kept), "s"),

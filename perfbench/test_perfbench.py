@@ -1,6 +1,6 @@
 """Self-tests of the benchmark.
 
-Run from the root of a checkout (about 15 s)::
+Run from the root of a checkout (about 20 s)::
 
     python3 -m pytest perfbench/test_perfbench.py -q
 
@@ -25,6 +25,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import passrun  # noqa: E402
 import run  # noqa: E402
 from tracer import MODES, PRELOAD, Tracer  # noqa: E402
 from workloads import (WORKLOADS, digest_pass, failed_cells,  # noqa: E402
@@ -122,6 +123,37 @@ def test_tracer_leaves_every_patched_attribute_pristine(mode):
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert gc.callbacks == callbacks
+
+
+def test_calibration_leaves_the_collector_as_it_found_it():
+    before = gc.get_count()
+    assert passrun.calibrate() > 0
+    assert gc.isenabled()
+    assert gc.get_count()[0] <= before[0] + 10
+    assert gc.get_count()[1:] == before[1:]
+
+
+def test_calibrated_passes_record_the_host_speed(tmp_path):
+    workload = smoke("tenants")
+    runner = run.Runner(workload, 0, tmp_path,
+                        deadline=time.monotonic() + run.DEADLINE_S)
+    outcome = runner.run_pass(calibrate=True)
+    assert outcome.ok
+    calibrations = [c for _key, _s, c in outcome.data["cells"]]
+    assert len(calibrations) == workload.cells
+    assert all(c > 0 for c in calibrations)
+    probe = runner.run_pass("probe", calibrate=True)
+    assert len(probe.data["calibration_s"]) == 3
+
+
+def test_each_interval_is_scaled_by_the_host_speed_next_to_it(monkeypatch):
+    monkeypatch.setattr(run, "REFERENCE_CALIBRATION_S", 0.012)
+    outcome = run.PassOutcome(wall_s=4.0, ok=True, data={"cells": [
+        ["a", 1.0, 0.010], ["b", 2.0, 0.030]]})
+    # b is scaled by the mean of the loops before and after it.
+    assert run.scaled_cells(outcome) == pytest.approx([1.2, 1.2])
+    # The rest, 4 - 3 - 0.04 s, goes at the median speed, 0.012 / 0.02.
+    assert run.scaled_campaign_s(outcome) == pytest.approx(2.4 + 0.96 * 0.6)
 
 
 @pytest.fixture(scope="module")
