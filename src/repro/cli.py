@@ -14,8 +14,10 @@ and drives the experiment campaigns through verbs::
     p2pmpirun merge host1/*.partial host2/*.partial --out all
     p2pmpirun aggregate all
 
-(the pre-verb ``p2pmpirun --experiment X`` spelling still works and is
-rewritten to ``p2pmpirun run X`` with a deprecation note).
+Each campaign has its own parser: ``run X`` and ``orchestrate X``
+accept exactly the sweep-shape flags X's manifest row declares (from
+the one axis table in :mod:`repro.experiments.registry`), so a flag
+the campaign would ignore is an argparse error instead.
 
 Sweeps run on the experiment engine: ``--jobs N`` fans cells out over
 worker processes (``--jobs 0`` auto-sizes from the CPU count),
@@ -39,10 +41,10 @@ Campaigns distribute three ways (DESIGN.md §9 and §12):
 * ``aggregate DIR`` renders a cross-experiment summary of a store
   directory either way.
 
-Experiments come from :mod:`repro.experiments.registry`: the parser
-enumerates names from its static manifest, and each driver module is
-imported only when its campaign actually runs — which is what keeps
-``p2pmpirun --help`` fast.
+Experiments come from :mod:`repro.experiments.registry`: the parsers
+are built from its static manifest and axis table, and each driver
+module is imported only when its campaign actually runs — which is
+what keeps ``p2pmpirun --help`` fast.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ __all__ = ["main", "build_parser", "build_run_parser",
            "build_aggregate_parser", "make_app"]
 
 PROGRAMS = ("hostname", "ep", "is", "cg")
-
-#: Experiments whose sweeps partition with ``--shard`` (everything
-#: engine-backed; table1 prints a static table and the ablation
-#: drivers are a handful of cells each).  Kept as a module constant
-#: for compatibility; the registry manifest is the source of truth.
-SHARDABLE_EXPERIMENTS = registry.shardable_names()
 
 
 def make_app(name: str, nas_class: str = "B"):
@@ -95,86 +91,40 @@ def _shard_arg(text: str) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # parsers
 # ----------------------------------------------------------------------
-def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
-    """Sweep-shape flags: what grid a campaign spans.
-
-    Shared by the legacy parser, ``run`` and ``orchestrate`` — the
-    orchestrator forwards exactly these to its worker processes, so
-    the three surfaces must stay flag-compatible.
-    """
-    parser.add_argument("-a", "--alloc", default="spread",
-                        help="allocation strategy: spread | concentrate | "
-                             "block | bandwidth_spread | "
-                             "diameter_concentrate | topo_block")
-    parser.add_argument("--class", dest="nas_class", default="B",
-                        help="NAS class for ep/is/cg (default B)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cluster", default="grid5000",
-                        choices=("grid5000", "small"),
-                        help="testbed for coallocation/commaware sweeps "
-                             "(default grid5000; 'small' is the 10-host "
-                             "CI/smoke grid)")
-    parser.add_argument("--demands", default=None, metavar="N,N,...",
-                        help="comma-separated demand grid overriding the "
-                             "paper's 100..600 for coallocation/commaware")
-    parser.add_argument("--ratios", default=None, metavar="R,R,...",
-                        help="comma-separated intra/inter-site latency "
-                             "ratios overriding the applatency default "
-                             "1,10,121.6,1000 (the testbed subject: "
-                             "--cluster does not apply)")
-    parser.add_argument("--users", type=int, default=2,
-                        help="competing submitters per churnload round "
-                             "(default 2)")
-    parser.add_argument("--failures", default=None, metavar="F,F,...",
-                        help="comma-separated per-host failure-rate grid "
-                             "(crashes/s) overriding the churnload "
-                             "default 0,0.002,0.006")
-    parser.add_argument("--horizon", type=float, default=240.0,
-                        help="churnload round horizon in simulated "
-                             "seconds (default 240)")
-    parser.add_argument("--tenants", default=None, metavar="T,T,...",
-                        help="comma-separated tenant-count grid for the "
-                             "multiuser2 control-plane campaign "
-                             "(default 10,50,200)")
-    parser.add_argument("--rates", default=None, metavar="R,R,...",
-                        help="comma-separated per-tenant arrival rates "
-                             "(jobs/s) for multiuser2 "
-                             "(default 0.01,0.05)")
-    parser.add_argument("--family", default=None, metavar="F,F,...",
-                        help="comma-separated topology families for the "
-                             "topozoo campaign (grid5000, scale_free, "
-                             "small_world, fat_sites; default all), e.g. "
-                             "'p2pmpirun run topozoo --family scale_free "
-                             "--sites 200'")
-    parser.add_argument("--sites", default=None, metavar="N,N,...",
-                        help="comma-separated site counts for topozoo's "
-                             "generated families (default 16,48)")
-    parser.add_argument("--modes", default=None, metavar="M,M,...",
-                        help="comma-separated placement modes for the "
-                             "migration campaign (static, diffusive; "
-                             "default both)")
+def _add_axis(parser: argparse.ArgumentParser, axis: registry.Axis) -> None:
+    flags = (axis.short, axis.flag) if axis.short else (axis.flag,)
+    if axis.type is None:
+        parser.add_argument(*flags, dest=axis.dest, action="store_true",
+                            help=axis.help)
+        return
+    parser.add_argument(*flags, dest=axis.dest, type=axis.type,
+                        default=axis.default, metavar=axis.metavar,
+                        choices=axis.choices, help=axis.help)
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+def _add_engine_flags(parser: argparse.ArgumentParser,
+                      shardable: bool) -> None:
     """Execution/persistence flags of a directly-run sweep."""
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweep cells (default 1; "
                              "0 auto-sizes from the CPU count)")
-    parser.add_argument("--shard", type=_shard_arg, default=None,
-                        metavar="K/N",
-                        help="run only the K-th of N deterministic slices "
-                             "of each sweep grid (1-based; requires --out). "
-                             "Disjoint shards of one spec share a store "
-                             "key and seed schedule; their .partial "
-                             "outputs reassemble byte-for-byte with "
-                             "'p2pmpirun merge'")
+    if shardable:
+        parser.add_argument("--shard", type=_shard_arg, default=None,
+                            metavar="K/N",
+                            help="run only the K-th of N deterministic "
+                                 "slices of each sweep grid (1-based; "
+                                 "requires --out). Disjoint shards of one "
+                                 "spec share a store key and seed "
+                                 "schedule; their .partial outputs "
+                                 "reassemble byte-for-byte with "
+                                 "'p2pmpirun merge'")
+    else:
+        parser.set_defaults(shard=None)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="persist sweep results under DIR; cached "
                              "cells are skipped on re-invocation")
     parser.add_argument("--force", action="store_true",
                         help="invalidate stored sweeps and recompute")
-    parser.add_argument("--plot", action="store_true",
-                        help="also render ASCII charts for figure sweeps")
     parser.add_argument("--profile", action="store_true",
                         help="wrap the experiment sweep in cProfile: dump "
                              "profile-<experiment>.pstats next to the store "
@@ -182,8 +132,19 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "top-20 cumulative entries")
 
 
+def _campaign_parsers(parser: argparse.ArgumentParser,
+                      names: Tuple[str, ...], what: str):
+    """Yield ``(name, subparser)`` per campaign; the caller adds the
+    flags its manifest row declares."""
+    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT",
+                                required=True, help=what)
+    for name in names:
+        summary = registry.MANIFEST[name].summary
+        yield name, sub.add_parser(name, help=summary, description=summary)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The job-run (and legacy ``--experiment``) parser."""
+    """The single-job parser (``p2pmpirun -n N ... prog``)."""
     parser = argparse.ArgumentParser(
         prog="p2pmpirun",
         description="Run a job on the simulated P2P-MPI Grid'5000 testbed.",
@@ -205,11 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group", type=int, default=None,
                         help="collective-group block unit when -a "
                              "topo_block (default: derived from n)")
-    parser.add_argument("--experiment", choices=registry.names(),
-                        help="deprecated spelling of 'p2pmpirun run "
-                             "EXPERIMENT' (kept for compatibility)")
-    _add_shape_flags(parser)
-    _add_engine_flags(parser)
+    for axis in registry.AXES:
+        if axis.dest in ("alloc", "nas_class", "seed"):
+            _add_axis(parser, axis)
     parser.add_argument("prog", nargs="?", default="hostname",
                         choices=PROGRAMS, help="program to execute")
     return parser
@@ -218,20 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 def build_run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pmpirun run",
-        description="Run one experiment campaign: regenerate a paper "
-                    "figure/table, the ablation studies, the combined "
-                    "§5.1 sweep ('coallocation'), the communication-"
-                    "aware scenario pack ('commaware'), the sustained-"
-                    "load availability campaign ('churnload'), the "
-                    "EP/IS latency-ratio execution campaign "
-                    "('applatency'), the topology-family ranking "
-                    "campaign ('topozoo', e.g. 'run topozoo --family "
-                    "scale_free --sites 200'), or the whole campaign "
-                    "('all').")
-    parser.add_argument("experiment", choices=registry.names(),
-                        help="campaign to run")
-    _add_shape_flags(parser)
-    _add_engine_flags(parser)
+        description="Run one experiment campaign and print its report. "
+                    "'p2pmpirun run EXPERIMENT --help' lists the flags "
+                    "that campaign takes.")
+    for name, campaign in _campaign_parsers(parser, registry.names(),
+                                            "campaign to run"):
+        for axis in registry.axes(name):
+            _add_axis(campaign, axis)
+        _add_engine_flags(campaign, registry.is_shardable(name))
     return parser
 
 
@@ -247,10 +200,17 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
                     "immediately, and promote the canonical store — "
                     "byte-identical to an unsharded run — when the "
                     "grid completes.")
-    parser.add_argument("experiment", choices=registry.shardable_names(),
-                        help="campaign to orchestrate (engine-backed "
-                             "experiments only)")
-    _add_shape_flags(parser)
+    for name, campaign in _campaign_parsers(
+            parser, registry.shardable_names(),
+            "campaign to orchestrate (engine-backed experiments only)"):
+        for axis in registry.axes(name):
+            if axis.forwarded:
+                _add_axis(campaign, axis)
+        _add_orchestrate_flags(campaign)
+    return parser
+
+
+def _add_orchestrate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="campaign store directory; also hosts the "
                              ".orchestrate/ scratch tree while running")
@@ -281,7 +241,6 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
                         help="failure-injection hook for tests/CI: the "
                              "first shard's first worker self-kills "
                              "after CELLS cells")
-    return parser
 
 
 def build_merge_parser() -> argparse.ArgumentParser:
@@ -356,7 +315,7 @@ def _run_single(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# experiment execution (shared by `run` and the legacy spelling)
+# run verb
 # ----------------------------------------------------------------------
 def _store(args: argparse.Namespace):
     from repro.experiments.engine import ResultStore
@@ -396,22 +355,15 @@ def _run_profiled(args: argparse.Namespace) -> int:
     return rc
 
 
-def _finish(parser: argparse.ArgumentParser,
-            args: argparse.Namespace) -> int:
-    """Validations + dispatch shared by ``run`` and the legacy form."""
+def _run_run(argv: List[str]) -> int:
     from repro.experiments.engine import resolve_jobs
 
+    parser = build_run_parser()
+    args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = auto-size from CPU count)")
     args.jobs = resolve_jobs(args.jobs)
     if args.shard:
-        if args.experiment is None:
-            parser.error("--shard only applies to experiment sweeps "
-                         "('p2pmpirun run EXPERIMENT --shard K/N')")
-        if not registry.is_shardable(args.experiment):
-            parser.error(
-                f"experiment {args.experiment} does not shard (shardable: "
-                f"{', '.join(registry.shardable_names())})")
         if not args.out:
             parser.error("--shard requires --out: a shard's cells persist "
                          "to the store's .partial file for the merge step")
@@ -420,21 +372,8 @@ def _finish(parser: argparse.ArgumentParser,
                          "would invalidate cells other shards checkpointed "
                          "into the same store")
     if args.profile:
-        if args.experiment is None:
-            parser.error("--profile only applies to experiment sweeps")
-        if args.experiment == "table1":
-            parser.error("--profile: table1 prints a static table, "
-                         "there is no sweep to profile")
-    if args.experiment:
-        if args.profile:
-            return _run_profiled(args)
-        return _run_experiment(args)
-    return _run_single(args)
-
-
-def _run_run(argv: List[str]) -> int:
-    parser = build_run_parser()
-    return _finish(parser, parser.parse_args(argv))
+        return _run_profiled(args)
+    return _run_experiment(args)
 
 
 # ----------------------------------------------------------------------
@@ -530,32 +469,10 @@ def _run_aggregate(argv: List[str]) -> int:
     return 0
 
 
-#: Verbs dispatched before the legacy parser (``p2pmpirun run ...``,
+#: Verbs dispatched before the single-job parser (``p2pmpirun run ...``,
 #: ``p2pmpirun orchestrate ...``, ``p2pmpirun merge ...``, ...).
 TOOL_VERBS = {"run": _run_run, "orchestrate": _run_orchestrate,
               "merge": _run_merge, "aggregate": _run_aggregate}
-
-
-def _rewrite_legacy_experiment(argv: List[str]) -> List[str]:
-    """``--experiment X`` -> ``run X`` (the pre-verb CLI, deprecated).
-
-    Only the exact flag spellings are rewritten; a trailing
-    ``--experiment`` with no value falls through to the legacy parser,
-    whose own "expected one argument" error is the right one.
-    """
-    for i, arg in enumerate(argv):
-        if arg == "--experiment":
-            if i + 1 >= len(argv):
-                break
-            name, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-        elif arg.startswith("--experiment="):
-            name, rest = arg.split("=", 1)[1], argv[:i] + argv[i + 1:]
-        else:
-            continue
-        print(f"note: 'p2pmpirun --experiment {name}' is deprecated; "
-              f"use 'p2pmpirun run {name}'", file=sys.stderr)
-        return ["run", name] + rest
-    return argv
 
 
 def _dispatch(verb: str, argv: List[str]) -> int:
@@ -573,11 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in TOOL_VERBS:
         return _dispatch(argv[0], argv[1:])
-    argv = _rewrite_legacy_experiment(argv)
-    if argv and argv[0] in TOOL_VERBS:
-        return _dispatch(argv[0], argv[1:])
-    parser = build_parser()
-    return _finish(parser, parser.parse_args(argv))
+    return _run_single(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -224,7 +224,6 @@ def _register() -> None:
         name="fig4",
         cli_run=_cli_run_fig4,
         specs=_fig4_specs,
-        cli_axes=("nas_class", "plot"),
     ))
 
 

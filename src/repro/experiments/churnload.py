@@ -280,10 +280,6 @@ def _cli_spec(args) -> ExperimentSpec:
     from repro.experiments.cliutil import csv_values
 
     small = args.cluster == "small"
-    if args.horizon <= 0:
-        raise SystemExit("error: --horizon must be > 0")
-    if args.users < 1:
-        raise SystemExit("error: --users must be >= 1")
     overrides = {}
     if args.failures is not None:
         overrides["failures"] = csv_values("--failures", args.failures,
@@ -323,7 +319,6 @@ def _register() -> None:
         name="churnload",
         cli_run=_cli_run,
         specs=lambda args: [_cli_spec(args)],
-        cli_axes=("cluster", "churn"),
     ))
 
 

@@ -271,7 +271,6 @@ def _cli_run_combined(args, store) -> None:
 def _register() -> None:
     from repro.experiments import registry
 
-    axes = ("cluster", "demands", "plot")
     for name in ("fig2", "fig3", "coallocation"):
         run = (_cli_run_combined if name == "coallocation"
                else (lambda args, store, name=name:
@@ -280,7 +279,6 @@ def _register() -> None:
             name=name,
             cli_run=run,
             specs=lambda args, name=name: [_figure_spec(args, name)],
-            cli_axes=axes,
         ))
 
 

@@ -314,15 +314,11 @@ def _cli_spec(args) -> ExperimentSpec:
     from repro.experiments.cliutil import csv_values
 
     small = args.cluster == "small"
-    if args.horizon <= 0:
-        raise SystemExit("error: --horizon must be > 0")
-    if args.users < 1:
-        raise SystemExit("error: --users must be >= 1")
     overrides = {}
     if args.failures is not None:
         overrides["failures"] = csv_values("--failures", args.failures,
                                            float, nonnegative=True)
-    if getattr(args, "modes", None) is not None:
+    if args.modes is not None:
         modes = csv_values("--modes", args.modes, str)
         for mode in modes:
             if mode not in MIGRATION_MODES:
@@ -363,7 +359,6 @@ def _register() -> None:
         name="migration",
         cli_run=_cli_run,
         specs=lambda args: [_cli_spec(args)],
-        cli_axes=("cluster", "churn", "migration"),
     ))
 
 

@@ -174,9 +174,9 @@ def _cli_spec(args) -> ExperimentSpec:
     from repro.experiments.cliutil import csv_values
 
     overrides = {}
-    if getattr(args, "tenants", None) is not None:
+    if args.tenants is not None:
         overrides["tenants"] = csv_values("--tenants", args.tenants, int)
-    if getattr(args, "rates", None) is not None:
+    if args.rates is not None:
         overrides["rates"] = csv_values("--rates", args.rates, float)
     return multiuser2_spec(
         seed=args.seed,
@@ -209,7 +209,6 @@ def _register() -> None:
         name="multiuser2",
         cli_run=_cli_run,
         specs=lambda args: [_cli_spec(args)],
-        cli_axes=("cluster", "controlplane"),
     ))
 
 

@@ -68,43 +68,20 @@ __all__ = ["ExecutionStrategy", "LocalProcessStrategy",
 def worker_flags(experiment: str, args: Any) -> Tuple[str, ...]:
     """The sweep-shape flags a shard worker needs to rebuild the grid.
 
-    Forwarding is driven by the experiment's registered ``cli_axes``:
-    a worker must see exactly the flags that shaped the orchestrator's
-    specs — same demands, same cluster, same seed — or it would compute
-    cells of a different content hash and the merge would refuse them.
+    Every axis the experiment's manifest row declares is forwarded, in
+    :data:`~repro.experiments.registry.AXES` order, when its parsed
+    value is not ``None``: a worker must see exactly the flags that
+    shaped the orchestrator's specs — same demands, same cluster, same
+    seed — or it would compute cells of a different content hash and
+    the merge would refuse them.
     """
     from repro.experiments import registry
 
-    axes = registry.get(experiment).cli_axes
-    flags: List[str] = ["--seed", str(args.seed)]
-    if "cluster" in axes:
-        flags += ["--cluster", args.cluster]
-    if "demands" in axes and args.demands is not None:
-        flags += ["--demands", args.demands]
-    if "ratios" in axes and getattr(args, "ratios", None) is not None:
-        flags += ["--ratios", args.ratios]
-    if "churn" in axes:
-        flags += ["--users", str(args.users),
-                  "--horizon", str(args.horizon)]
-        if args.failures is not None:
-            flags += ["--failures", args.failures]
-    if "nas_class" in axes:
-        flags += ["--class", args.nas_class]
-    if "controlplane" in axes:
-        if getattr(args, "tenants", None) is not None:
-            flags += ["--tenants", args.tenants]
-        if getattr(args, "rates", None) is not None:
-            flags += ["--rates", args.rates]
-    if "alloc" in axes:
-        flags += ["--alloc", args.alloc]
-    if "topozoo" in axes:
-        if getattr(args, "family", None) is not None:
-            flags += ["--family", args.family]
-        if getattr(args, "sites", None) is not None:
-            flags += ["--sites", args.sites]
-    if "migration" in axes:
-        if getattr(args, "modes", None) is not None:
-            flags += ["--modes", args.modes]
+    flags: List[str] = []
+    for axis in registry.axes(experiment):
+        value = vars(args)[axis.dest] if axis.forwarded else None
+        if value is not None:
+            flags += [axis.flag, str(value)]
     return tuple(flags)
 
 

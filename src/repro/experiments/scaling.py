@@ -143,8 +143,8 @@ def _cli_strategy(args) -> str:
     if strategy == "block":
         import sys
 
-        print("warning: --experiment scaling does not sweep the block "
-              "strategy; using spread", file=sys.stderr)
+        print("warning: scaling does not sweep the block strategy; "
+              "using spread", file=sys.stderr)
         strategy = "spread"
     return strategy
 
@@ -177,7 +177,6 @@ def _register() -> None:
         name="scaling",
         cli_run=_cli_run,
         specs=_cli_specs,
-        cli_axes=("alloc",),
     ))
 
 

@@ -271,23 +271,21 @@ def topozoo_report(campaign: TopozooCampaign) -> str:
 # ----------------------------------------------------------------------
 def _cli_overrides(args) -> Dict:
     """--family restricts the roster, --sites reshapes the generated
-    size axis; --cluster does not apply (the families are the
-    campaign's subject)."""
+    size axis (the families are the campaign's subject, so it takes no
+    --cluster)."""
     from repro.experiments.cliutil import csv_values
 
     overrides: Dict = {}
-    family = getattr(args, "family", None)
-    if family is not None:
-        picked = tuple(csv_values("--family", family, str))
+    if args.family is not None:
+        picked = tuple(csv_values("--family", args.family, str))
         unknown = [f for f in picked if f not in TOPOZOO_FAMILIES]
         if unknown:
             raise SystemExit(
                 f"p2pmpirun: --family: unknown families {unknown} "
                 f"(choose from {', '.join(TOPOZOO_FAMILIES)})")
         overrides["families"] = picked
-    sites = getattr(args, "sites", None)
-    if sites is not None:
-        overrides["sizes"] = csv_values("--sites", sites, int,
+    if args.sites is not None:
+        overrides["sizes"] = csv_values("--sites", args.sites, int,
                                         positive=True)
     return overrides
 
@@ -327,7 +325,6 @@ def _register() -> None:
         name="topozoo",
         cli_run=_cli_run,
         specs=_cli_specs,
-        cli_axes=("topozoo", "nas_class"),
     ))
 
 

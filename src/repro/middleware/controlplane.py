@@ -1,8 +1,9 @@
 """Asyncio multi-tenant control plane on a virtual-time event loop.
 
 The DES middleware (:mod:`repro.middleware.mpd`) serialises job
-submissions: one generator runs at a time, so the gatekeeper's legacy
-``can_accept`` + ``hold`` pair never actually raced.  The operating
+submissions: one generator runs at a time, so a check-then-act
+admission (policy check, then a separate slot hold) never actually
+raced.  The operating
 regime the Grid'5000 platform reports describe — many independent
 users submitting concurrently against shared hosts — needs genuinely
 interleaved admission, which is exactly what exposes the check-then-act

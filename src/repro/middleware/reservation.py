@@ -78,7 +78,7 @@ class ReservationService:
         policy check and the ``J``-slot pin are one indivisible step,
         so interleaved RESERVE traffic (concurrent submitters racing
         for the same host) can never overshoot the owner's limit the
-        way the legacy ``can_accept`` + ``hold`` pair could.
+        way a separate check and hold could.
         """
         self._expire()
         payload = msg.payload

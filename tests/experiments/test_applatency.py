@@ -1,15 +1,14 @@
-"""The applatency campaign: determinism, resume, sharding, acceptance.
+"""The applatency campaign: cell fingerprint and acceptance story.
 
-The regression surface mirrors churnload's (per-cell clusters built
-from an axis value, byte-deterministic report), plus the ISSUE's
-acceptance story: at deep hierarchy the communication-aware strategies
-must buy IS wall-clock while EP stays communication-indifferent.
+At deep hierarchy the communication-aware strategies must buy IS
+wall-clock while EP stays communication-indifferent.  Determinism,
+resume, sharding and cache replay are the campaign contract's
+(``test_campaign_contract.py``).
 """
 
 import pytest
 
 from repro.apps.is_bench import ISBenchmark
-from repro.experiments.aggregate import StoreMerger
 from repro.experiments.applatency import (
     APPLATENCY_NS,
     APPLATENCY_STRATEGIES,
@@ -17,22 +16,15 @@ from repro.experiments.applatency import (
     applatency_spec,
     run_applatency_campaign,
 )
-from repro.experiments.engine import ResultStore, SweepRunner
 
 TINY_RATIOS = (1.0, 1000.0)
 TINY_NS = (64,)
 
 
-def tiny_spec(seed=0, name="applatency-test"):
-    """8-cell IS panel: 2 ratios x 4 strategies x n=64."""
-    return applatency_spec(ISBenchmark("B"), ratios=TINY_RATIOS,
-                           ns=TINY_NS, seed=seed, name=name)
-
-
-def tiny_campaign(seed=0, jobs=1, store=None, force=False, shard=None):
-    return run_applatency_campaign(seed=seed, ratios=TINY_RATIOS,
-                                   ns=TINY_NS, jobs=jobs, store=store,
-                                   force=force, shard=shard)
+@pytest.fixture(scope="module")
+def campaign():
+    """Both 8-cell panels: 2 ratios x 4 strategies x n=64."""
+    return run_applatency_campaign(ratios=TINY_RATIOS, ns=TINY_NS, jobs=2)
 
 
 class TestSpec:
@@ -44,9 +36,8 @@ class TestSpec:
         assert spec.cluster.kind == "grid5000-latratio"
         assert spec.cost_key is not None
 
-    def test_cells_record_contention_fingerprint(self):
-        sweep = SweepRunner(tiny_spec()).run()
-        for cell in sweep.cells:
+    def test_cells_record_contention_fingerprint(self, campaign):
+        for cell in campaign.apps["is.B"].cells:
             v = cell.value
             assert v["status"] in ("success", "degraded")
             assert v["time_s"] > 0 and v["comm_s"] > 0
@@ -54,75 +45,17 @@ class TestSpec:
             assert v["sites_used"] >= 1
             assert v["max_crossing_pairs"] >= 0
 
-    def test_single_site_plan_has_no_crossing(self):
-        sweep = SweepRunner(tiny_spec()).run()
-        cell = sweep.value(ratio=1000.0, strategy="bandwidth_spread", n=64)
+    def test_single_site_plan_has_no_crossing(self, campaign):
+        cell = campaign.apps["is.B"].value(
+            ratio=1000.0, strategy="bandwidth_spread", n=64)
         assert cell["sites_used"] == 1
         assert cell["max_crossing_pairs"] == 0
 
 
-class TestDeterminism:
-    def test_jobs1_jobs2_reports_byte_identical(self):
-        serial = applatency_report(tiny_campaign(jobs=1))
-        parallel = applatency_report(tiny_campaign(jobs=2))
-        assert serial == parallel
-
-    def test_serial_parallel_stores_byte_identical(self, tmp_path):
-        spec = tiny_spec(seed=3)
-        serial = ResultStore(tmp_path / "serial")
-        parallel = ResultStore(tmp_path / "parallel")
-        SweepRunner(spec, jobs=1, store=serial).run()
-        SweepRunner(spec, jobs=2, store=parallel).run()
-        assert (serial.path_for(spec).read_bytes()
-                == parallel.path_for(spec).read_bytes())
-
-    def test_kill_resume_byte_identical(self, tmp_path):
-        """A campaign killed mid-sweep resumes through the ``.partial``
-        checkpoint and promotes to the straight-through bytes."""
-        spec = tiny_spec()
-        store = ResultStore(tmp_path)
-        full = SweepRunner(spec, store=store).run()
-        canonical = store.path_for(spec).read_bytes()
-        store.path_for(spec).unlink()
-        store.append_partial(spec, full.cells[:3])
-        resumed = SweepRunner(spec, jobs=2, store=store).run()
-        assert resumed.executed == 5 and resumed.cached == 3
-        assert store.path_for(spec).read_bytes() == canonical
-        assert not store.partial_path_for(spec).exists()
-
-    def test_shard_halves_merge_to_unsharded_store(self, tmp_path):
-        """--shard 1/2 + 2/2 checkpoint stores reassemble byte-for-byte
-        into the canonical file an unsharded run writes."""
-        spec = tiny_spec(seed=1, name="applatency-shardtest")
-        reference = ResultStore(tmp_path / "reference")
-        SweepRunner(spec, store=reference).run()
-        shards = ResultStore(tmp_path / "shards")
-        one = SweepRunner(spec, store=shards, shard=(1, 2)).run()
-        two = SweepRunner(spec, store=shards, shard=(2, 2)).run()
-        assert one.executed + two.executed == spec.cell_count()
-        # Shard slices never promote: only the checkpoint exists.
-        assert not shards.path_for(spec).exists()
-        merged = StoreMerger().merge([shards.partial_path_for(spec)])
-        assert merged.complete
-        path = merged.write(tmp_path / "merged")
-        assert path.read_bytes() == reference.path_for(spec).read_bytes()
-
-    def test_cache_replay_stable(self, tmp_path):
-        store = ResultStore(tmp_path)
-        first = tiny_campaign(store=store)
-        again = tiny_campaign(store=store)
-        assert again.apps["is.B"].executed == 0
-        assert applatency_report(first) == applatency_report(again)
-
-
 class TestAcceptanceStory:
-    """ISSUE acceptance: the report must show a deep-hierarchy IS cell
+    """Acceptance: the report must show a deep-hierarchy IS cell
     where bandwidth_spread/topo_block beat plain spread strictly,
     while EP shows no communication win."""
-
-    @pytest.fixture(scope="class")
-    def campaign(self):
-        return tiny_campaign(jobs=2)
 
     def test_is_deep_hierarchy_commaware_beats_spread(self, campaign):
         sweep = campaign.apps["is.B"]
@@ -161,6 +94,7 @@ class TestAcceptanceStory:
 
     def test_report_contains_story_and_calibration(self, campaign):
         report = applatency_report(campaign)
+        assert "applatency: IS.B wall-clock" in report
         for strategy in APPLATENCY_STRATEGIES:
             assert strategy in report
         assert "speedup over spread" in report

@@ -82,7 +82,7 @@ class TestGet:
         assert experiment.name == "coallocation"
         assert experiment.shardable
         assert experiment.specs is not None
-        assert "demands" in experiment.cli_axes
+        assert "demands" in registry.MANIFEST["coallocation"].axes
 
     def test_every_shardable_name_has_a_spec_builder(self):
         for name in registry.shardable_names():
@@ -107,15 +107,3 @@ class TestGet:
             parts.extend(registry.get(name).specs(args))
         assert ([(s.name, s.content_hash()) for s in whole]
                 == [(s.name, s.content_hash()) for s in parts])
-
-    def test_spec_builder_hash_matches_cli_store(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["run", "coallocation", "--cluster", "small",
-                     "--demands", "4", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        args = run_args("coallocation", "--cluster", "small",
-                        "--demands", "4")
-        spec = registry.get("coallocation").specs(args)[0]
-        stored = next(tmp_path.glob("coallocation-*.jsonl"))
-        assert spec.content_hash()[:12] in stored.name

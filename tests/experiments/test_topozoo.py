@@ -1,30 +1,22 @@
-"""The topozoo campaign: determinism, sharding, topology dependence.
+"""The topozoo campaign: spec, seeded graphs, topology dependence.
 
-The ISSUE's acceptance story: sweeping the full strategy roster over
-generated complex-network families must produce at least one family
-whose winning strategy differs from the paper testbed's — the winner
-is a property of the topology, not of the strategies.  Pinned here on
-the default seed, alongside the usual byte-determinism and store
-regression surface every engine-backed campaign carries.
+The acceptance story: sweeping the full strategy roster over generated
+complex-network families must produce at least one family whose
+winning strategy differs from the paper testbed's — the winner is a
+property of the topology, not of the strategies.  Pinned here on the
+default seed; the byte-determinism and store surface every campaign
+carries is the campaign contract's (``test_campaign_contract.py``).
 """
 
 import pytest
 
 from repro.experiments.commaware import ALL_STRATEGIES
-from repro.experiments.engine import ResultStore, SweepRunner
+from repro.experiments.engine import SweepRunner
 from repro.experiments.topozoo import (TOPOZOO_FAMILIES, TOPOZOO_SITES,
                                        run_topozoo_campaign, topozoo_report,
                                        topozoo_spec, topozoo_winners)
 
 TINY_SITES = (12,)
-TINY_FAMILIES = ("grid5000", "scale_free")
-
-
-def tiny_campaign(seed=0, jobs=1, store=None, force=False, shard=None,
-                  families=TINY_FAMILIES):
-    return run_topozoo_campaign(seed=seed, families=families,
-                                sizes=TINY_SITES, jobs=jobs, store=store,
-                                force=force, shard=shard)
 
 
 class TestSpec:
@@ -61,32 +53,6 @@ class TestSpec:
 
 
 class TestDeterminism:
-    def test_jobs1_jobs2_reports_byte_identical(self):
-        serial = topozoo_report(tiny_campaign(jobs=1))
-        parallel = topozoo_report(tiny_campaign(jobs=2))
-        assert serial == parallel
-
-    def test_store_replay_byte_identical(self, tmp_path):
-        store = ResultStore(tmp_path)
-        first = topozoo_report(tiny_campaign(store=store))
-        replay = topozoo_report(tiny_campaign(store=store))
-        assert first == replay
-
-    def test_shard_halves_merge_to_unsharded_store(self, tmp_path):
-        from repro.experiments.aggregate import StoreMerger
-
-        spec = topozoo_spec("scale_free", sizes=TINY_SITES, seed=0)
-        reference = ResultStore(tmp_path / "reference")
-        SweepRunner(spec, store=reference).run()
-        shards = ResultStore(tmp_path / "shards")
-        one = SweepRunner(spec, store=shards, shard=(1, 2)).run()
-        two = SweepRunner(spec, store=shards, shard=(2, 2)).run()
-        assert one.executed + two.executed == spec.cell_count()
-        merged = StoreMerger().merge([shards.partial_path_for(spec)])
-        assert merged.complete
-        path = merged.write(tmp_path / "merged")
-        assert path.read_bytes() == reference.path_for(spec).read_bytes()
-
     def test_master_seed_reshapes_the_generated_graph(self):
         """topo_seed rides in meta (= the campaign master seed): a new
         seed means a new generated topology, while within one campaign
@@ -124,12 +90,16 @@ class TestTopologyDependence:
 
     def test_report_names_differing_cells(self, campaign):
         report = topozoo_report(campaign)
+        assert "== topozoo: IS comm seconds by topology family ==" in report
+        assert "== winning strategy" in report
+        assert "== topology dependence ==" in report
         assert "paper testbed winner: block" in report
         assert "ranking strategies differently" in report
         assert "scale_free[sites=12] -> bandwidth_spread" in report
 
     def test_report_without_baseline_degrades(self):
-        campaign = tiny_campaign(families=("scale_free",))
+        campaign = run_topozoo_campaign(families=("scale_free",),
+                                        sizes=TINY_SITES)
         report = topozoo_report(campaign)
         assert "no baseline to compare" in report
 
@@ -145,7 +115,7 @@ class TestCLI:
 
         experiment = registry.get("topozoo")
         assert experiment.shardable
-        assert "topozoo" in experiment.cli_axes
+        assert {"family", "sites"} <= set(registry.MANIFEST["topozoo"].axes)
 
     def test_cli_specs_match_campaign_hashes(self):
         from repro.experiments import registry

@@ -162,24 +162,14 @@ class TestChurn:
             sim.run_until_complete(proc)
 
 
-class TestPoissonDeprecation:
-    """Pins both behaviours of the renamed one-shot schedule.
+class TestScheduleModes:
+    """One-shot vs sustained failure schedules.
 
-    ``poisson_schedule`` never was a Poisson *process*: each host draws
-    one exponential and fails at most once, so a "rate" sweep over it
-    is secretly a sweep of P(fail before horizon).  The name is kept as
-    a warning alias of ``first_failure_schedule``; the honest rate axis
-    lives in ``sustained_schedule``.
+    ``first_failure_schedule`` draws one exponential per host and fails
+    each host at most once, so a "rate" sweep over it is secretly a
+    sweep of P(fail before horizon); the honest rate axis lives in
+    ``sustained_schedule``.
     """
-
-    def test_alias_warns_and_matches_new_name(self):
-        hosts = [f"h{i}" for i in range(10)]
-        with pytest.warns(DeprecationWarning, match="one failure per host"):
-            old = ChurnInjector.poisson_schedule(
-                hosts, 0.05, 60.0, np.random.default_rng(3))
-        new = ChurnInjector.first_failure_schedule(
-            hosts, 0.05, 60.0, np.random.default_rng(3))
-        assert old == new
 
     def test_one_shot_caps_at_one_failure_per_host(self):
         # Even at an absurd rate, the one-shot mode never crashes a

@@ -1,12 +1,17 @@
 """CLI surface."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import repro.cli as cli
-from repro.cli import build_parser, main, make_app
+import repro
+from repro.cli import build_parser, build_run_parser, main, make_app
 from repro.cluster import ClusterSpec
+from repro.experiments import registry
 from repro.experiments.coallocation import coallocation_spec
 
 
@@ -21,10 +26,6 @@ class TestParser:
             ["-n", "100", "-r", "2", "-a", "concentrate", "ep"])
         assert (args.n, args.r, args.alloc, args.prog) == (
             100, 2, "concentrate", "ep")
-
-    def test_experiment_flag(self):
-        args = build_parser().parse_args(["--experiment", "table1"])
-        assert args.experiment == "table1"
 
 
 class TestMakeApp:
@@ -49,20 +50,19 @@ class TestMain:
         assert "success" in out and "nancy" in out
 
     def test_table1(self, capsys):
-        assert main(["--experiment", "table1"]) == 0
+        assert main(["run", "table1"]) == 0
         out = capsys.readouterr().out
         assert "grelon" in out and "sol" in out and "17.167" in out
 
 
 class TestEngineFlags:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["--experiment", "fig2"])
+        args = build_run_parser().parse_args(["fig2"])
         assert args.jobs == 1 and args.out is None and not args.force
 
     def test_campaign_choice(self):
-        args = build_parser().parse_args(
-            ["--experiment", "all", "--jobs", "4", "--out", "/tmp/r",
-             "--force"])
+        args = build_run_parser().parse_args(
+            ["all", "--jobs", "4", "--out", "/tmp/r", "--force"])
         assert args.experiment == "all"
         assert (args.jobs, args.out, args.force) == (4, "/tmp/r", True)
 
@@ -77,8 +77,7 @@ class TestEngineFlags:
                 cluster_spec=ClusterSpec(kind="small")))
 
     def test_fig2_runs_stores_and_caches(self, fast_fig2, tmp_path, capsys):
-        argv = ["--experiment", "fig2", "--jobs", "2",
-                "--out", str(tmp_path)]
+        argv = ["run", "fig2", "--jobs", "2", "--out", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "[engine] sweep fig2: 2 cells (2 executed, 0 cached)" in first
@@ -93,14 +92,14 @@ class TestEngineFlags:
         assert "(2 executed, 0 cached)" in third
 
     def test_fig2_without_store(self, fast_fig2, capsys):
-        assert main(["--experiment", "fig2"]) == 0
+        assert main(["run", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "[engine] sweep fig2" in out and ".jsonl" not in out
 
 
 class TestGridOverrides:
     def test_coallocation_small_grid(self, tmp_path, capsys):
-        argv = ["--experiment", "coallocation", "--cluster", "small",
+        argv = ["run", "coallocation", "--cluster", "small",
                 "--demands", "4,8", "--jobs", "2", "--out", str(tmp_path)]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -111,10 +110,10 @@ class TestGridOverrides:
 
     def test_bad_demands_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--demands", "4,x"])
+            main(["run", "coallocation", "--demands", "4,x"])
 
     def test_commaware_small_report(self, capsys):
-        argv = ["--experiment", "commaware", "--cluster", "small",
+        argv = ["run", "commaware", "--cluster", "small",
                 "--demands", "4,8"]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -126,52 +125,42 @@ class TestGridOverrides:
             assert strategy in out
         assert " s " not in out.splitlines()[0]
 
-    def test_commaware_byte_identical_across_jobs(self, capsys):
-        argv = ["--experiment", "commaware", "--cluster", "small",
-                "--demands", "4,8"]
-        assert main(argv + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
 
 class TestShardedCampaign:
     """--shard K/N plus the merge/aggregate verbs, end to end."""
 
     def shard_argv(self, k, n, out):
-        return ["--experiment", "coallocation", "--cluster", "small",
+        return ["run", "coallocation", "--cluster", "small",
                 "--demands", "4,8", "--shard", f"{k}/{n}", "--out", out]
 
     def test_parser_accepts_shard(self):
-        args = build_parser().parse_args(
-            ["--experiment", "commaware", "--shard", "2/3", "--out", "/x"])
+        args = build_run_parser().parse_args(
+            ["commaware", "--shard", "2/3", "--out", "/x"])
         assert args.shard == (2, 3)
 
     def test_bad_shard_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--shard", "0/3"])
+            build_run_parser().parse_args(["coallocation", "--shard", "0/3"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--shard", "nope"])
+            build_run_parser().parse_args(["coallocation", "--shard", "nope"])
 
     def test_shard_requires_experiment_and_out(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["-n", "4", "--shard", "1/2", "--out", str(tmp_path)])
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--shard", "1/2"])
+            main(["run", "coallocation", "--shard", "1/2"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "table1", "--shard", "1/2",
-                  "--out", str(tmp_path)])
+            main(["run", "table1", "--shard", "1/2", "--out", str(tmp_path)])
 
     def test_shard_with_force_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--shard", "1/2",
+            main(["run", "coallocation", "--shard", "1/2",
                   "--out", str(tmp_path), "--force"])
 
     def test_fully_cached_shard_reports_no_checkpoint(self, tmp_path,
                                                       capsys):
         out = str(tmp_path)
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", out]) == 0
         capsys.readouterr()
         assert main(self.shard_argv(1, 2, out)) == 0
@@ -181,7 +170,7 @@ class TestShardedCampaign:
 
     def test_shard_merge_reproduces_unsharded_store(self, tmp_path, capsys):
         ref = tmp_path / "ref"
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", str(ref)]) == 0
         capsys.readouterr()
         for k in (1, 2):
@@ -213,7 +202,7 @@ class TestShardedCampaign:
         import json
 
         ref = tmp_path / "ref"
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", str(ref)]) == 0
         capsys.readouterr()
         original = next(ref.glob("coallocation-*.jsonl"))
@@ -270,7 +259,7 @@ class TestShardedCampaign:
         import json
 
         ref = tmp_path / "ref"
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", str(ref)]) == 0
         capsys.readouterr()
         canonical = next(ref.glob("coallocation-*.jsonl"))
@@ -289,7 +278,7 @@ class TestShardedCampaign:
 class TestJobsFlag:
     def test_negative_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--jobs", "-1"])
+            main(["run", "coallocation", "--jobs", "-1"])
 
     def test_zero_auto_sizes(self, tmp_path, monkeypatch, capsys):
         import repro.experiments.coallocation as coallocation_mod
@@ -303,114 +292,70 @@ class TestJobsFlag:
 
         monkeypatch.setattr(coallocation_mod, "coallocation_sweep", spy)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4", "--jobs", "0"]) == 0
         assert seen["jobs"] == 3
 
 
 class TestChurnload:
-    SMOKE = ["--experiment", "churnload", "--cluster", "small",
-             "--users", "2", "--horizon", "120", "--failures", "0.006"]
-
     def test_parser_flags(self):
-        args = build_parser().parse_args(
-            ["--experiment", "churnload", "--users", "3",
-             "--horizon", "90", "--failures", "0,0.01"])
+        args = build_run_parser().parse_args(
+            ["churnload", "--users", "3", "--horizon", "90",
+             "--failures", "0,0.01"])
         assert args.experiment == "churnload"
         assert (args.users, args.horizon, args.failures) == (3, 90.0, "0,0.01")
 
     def test_bad_failures_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--failures", "0.1,x"])
+            main(["run", "churnload", "--failures", "0.1,x"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--failures", "-0.1"])
+            main(["run", "churnload", "--failures", "-0.1"])
 
-    def test_bad_horizon_and_users_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--horizon", "0"])
-        with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--users", "0"])
-
-    def test_smoke_report_byte_identical_across_jobs(self, capsys):
-        assert main(self.SMOKE + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(self.SMOKE + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-        assert "== churn under load:" in serial
-        for strategy in ("spread", "concentrate", "bandwidth_spread"):
-            assert strategy in serial
-
-    def test_smoke_stores_and_caches(self, tmp_path, capsys):
-        argv = self.SMOKE + ["--jobs", "2", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        stored = list(tmp_path.glob("churnload-*.jsonl"))
-        assert len(stored) == 1 and stored[0].stat().st_size > 0
-        assert main(argv) == 0  # cache replay renders identical text
-        assert capsys.readouterr().out == first
+    @pytest.mark.parametrize("campaign", ["churnload", "migration"])
+    @pytest.mark.parametrize("flag,value", [("--horizon", "0"),
+                                            ("--users", "0"),
+                                            ("--users", "x")])
+    def test_bad_horizon_and_users_rejected(self, campaign, flag, value,
+                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", campaign, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestApplatency:
-    SMOKE = ["--experiment", "applatency", "--demands", "32",
-             "--ratios", "1,1000"]
-
     def test_parser_flags(self):
-        args = build_parser().parse_args(
-            ["--experiment", "applatency", "--ratios", "1,121.6"])
+        args = build_run_parser().parse_args(
+            ["applatency", "--ratios", "1,121.6"])
         assert args.experiment == "applatency"
         assert args.ratios == "1,121.6"
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--ratios", "1,x"])
+            main(["run", "applatency", "--ratios", "1,x"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--ratios", "0"])
+            main(["run", "applatency", "--ratios", "0"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--ratios", ""])
+            main(["run", "applatency", "--ratios", ""])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--demands", ""])
+            main(["run", "applatency", "--demands", ""])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--demands", "0"])
-
-    def test_smoke_report_byte_identical_across_jobs(self, capsys):
-        assert main(self.SMOKE + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(self.SMOKE + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-        assert "applatency: IS.B wall-clock" in serial
-        assert "fig4 crossover calibration" in serial
-        for strategy in ("spread", "concentrate", "bandwidth_spread",
-                         "topo_block"):
-            assert strategy in serial
-
-    def test_shard_slice_writes_partial_only(self, tmp_path, capsys):
-        argv = self.SMOKE + ["--shard", "1/2", "--jobs", "2",
-                             "--out", str(tmp_path)]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "[shard 1/2]" in out
-        partials = sorted(p.name for p in tmp_path.glob("*.partial"))
-        assert len(partials) == 2  # one checkpoint per application panel
-        assert not list(tmp_path.glob("applatency-*.jsonl"))
+            main(["run", "applatency", "--demands", "0"])
 
 
 class TestProfile:
     def test_parser_flag(self):
-        args = build_parser().parse_args(
-            ["--experiment", "coallocation", "--profile"])
+        args = build_run_parser().parse_args(["coallocation", "--profile"])
         assert args.profile is True
-        assert build_parser().parse_args(["-n", "4"]).profile is False
+        assert build_run_parser().parse_args(
+            ["coallocation"]).profile is False
 
     def test_profile_requires_experiment(self):
         with pytest.raises(SystemExit):
             main(["-n", "4", "--profile"])
-        with pytest.raises(SystemExit):
-            main(["--experiment", "table1", "--profile"])
 
     def test_profile_dumps_pstats_next_to_store(self, tmp_path, capsys):
-        argv = ["--experiment", "coallocation", "--cluster", "small",
+        argv = ["run", "coallocation", "--cluster", "small",
                 "--demands", "4", "--profile", "--out", str(tmp_path)]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -425,47 +370,7 @@ class TestProfile:
 
 
 class TestSubcommands:
-    """The verb CLI and the legacy --experiment shim pin to each other."""
-
-    ARGS = ["coallocation", "--cluster", "small", "--demands", "4,8"]
-
-    def test_run_verb_matches_legacy_output_and_store(self, tmp_path,
-                                                      capsys):
-        legacy_out = tmp_path / "legacy"
-        run_out = tmp_path / "run"
-        assert main(["--experiment"] + self.ARGS
-                    + ["--out", str(legacy_out)]) == 0
-        legacy = capsys.readouterr()
-        assert "deprecated" in legacy.err
-        assert "p2pmpirun run coallocation" in legacy.err
-        assert main(["run"] + self.ARGS + ["--out", str(run_out)]) == 0
-        sub = capsys.readouterr()
-        assert sub.err == ""
-
-        def report_lines(text):
-            # the [engine] line carries wall-clock timing; the report
-            # tables below it are the deterministic part
-            return [line for line in text.splitlines()
-                    if not line.startswith("[engine]")]
-
-        assert report_lines(legacy.out) == report_lines(sub.out)
-        reference = next(legacy_out.glob("coallocation-*.jsonl"))
-        produced = next(run_out.glob("coallocation-*.jsonl"))
-        assert produced.name == reference.name
-        assert produced.read_bytes() == reference.read_bytes()
-
-    def test_legacy_and_run_share_one_store(self, tmp_path, capsys):
-        out = str(tmp_path)
-        assert main(["run"] + self.ARGS + ["--out", out]) == 0
-        capsys.readouterr()
-        assert main(["--experiment"] + self.ARGS + ["--out", out]) == 0
-        assert "(0 executed, 4 cached)" in capsys.readouterr().out
-
-    def test_experiment_equals_form_rewritten(self, capsys):
-        assert main(["--experiment=table1"]) == 0
-        captured = capsys.readouterr()
-        assert "grelon" in captured.out
-        assert "run table1" in captured.err
+    """Each campaign's parser takes exactly its manifest row's axes."""
 
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
@@ -479,8 +384,55 @@ class TestSubcommands:
                   str(tmp_path)])
         with pytest.raises(SystemExit):
             main(["run", "coallocation", "--jobs", "-1"])
-        with pytest.raises(SystemExit):
-            main(["run", "table1", "--profile"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1", "--tenants", "5"],
+        ["run", "scaling", "--cluster", "small"],
+        ["run", "applatency", "--cluster", "small"],
+        ["orchestrate", "fig2", "--plot", "--out", "unused"],
+        ["-n", "8", "--cluster", "small"],
+    ])
+    def test_flag_outside_the_campaign_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_help_lists_only_own_axes(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", name, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        own = {axis.flag for axis in registry.axes(name)}
+        for axis in registry.AXES:
+            assert (f"{axis.flag} " in text) == (axis.flag in own), axis.flag
+        for flag in ("--jobs", "--out", "--force", "--profile"):
+            assert flag in text
+        assert ("--shard" in text) == registry.is_shardable(name)
+
+    def test_parsers_import_no_driver_and_run_imports_its_own(self):
+        """Building every parser stays import-free, and ``run X``
+        imports X's driver and no other."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro import cli\n"
+            "from repro.experiments import registry\n"
+            "cli.build_parser(); cli.build_run_parser()\n"
+            "cli.build_orchestrate_parser()\n"
+            "drivers = {ref.module for ref in registry.MANIFEST.values()}\n"
+            "drivers.discard('repro.experiments.registry')\n"
+            "assert not drivers & set(sys.modules), drivers & set(sys.modules)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['run', 'table1']) == 0\n"
+            "loaded = drivers & set(sys.modules)\n"
+            "assert loaded == {'repro.experiments.inventory'}, loaded\n")
+        env = dict(os.environ)
+        prior = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + prior if prior else "")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestMergeCleanup:

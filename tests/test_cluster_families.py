@@ -1,11 +1,10 @@
-"""The TopologyFamily registry: schema validation, builders, shims.
+"""The TopologyFamily registry: schema validation, builders.
 
 The api_redesign contract (DESIGN.md §14): cluster recipes are
 declarative families with a parameter schema, a misspelled parameter
 fails at *spec-construction* time with the accepted names in the
-message, generated families build deterministically from ``topo_seed``,
-and the legacy ``register_cluster_kind``/``cluster_kinds`` entry
-points keep working behind a one-shot stderr deprecation note.
+message, and generated families build deterministically from
+``topo_seed``.
 """
 
 import pytest
@@ -13,9 +12,8 @@ import pytest
 from repro.cluster import (ClusterSpec, FamilyParam, TopologyFamily,
                            build_fat_sites_cluster,
                            build_scale_free_cluster,
-                           build_small_world_cluster, cluster_kinds,
-                           family_names, get_family, register_cluster_kind,
-                           register_family)
+                           build_small_world_cluster, family_names,
+                           get_family)
 from repro.net.families import GENERATED_FAMILIES
 
 
@@ -91,36 +89,6 @@ class TestGeneratedBuilders:
                                      seed=99)
         assert sorted(a.topology._links) != sorted(b.topology._links)
         assert sorted(a.topology._links) == sorted(c.topology._links)
-
-
-class TestDeprecatedShims:
-    def test_register_cluster_kind_still_registers(self, capsys):
-        calls = {}
-
-        def legacy_builder(seed=0, config=None, boot=True, **kw):
-            calls["kw"] = kw
-            return ClusterSpec(kind="small", boot=False).build(seed=seed)
-
-        register_cluster_kind("legacy-test-kind", legacy_builder)
-        err = capsys.readouterr().err
-        assert ("deprecated" in err
-                or "register_cluster_kind" not in err)  # note is one-shot
-        # Legacy registrations skip schema validation (params=None):
-        # any kwarg reaches the builder.
-        spec = ClusterSpec(kind="legacy-test-kind",
-                           params=(("whatever", 3),))
-        spec.build(seed=0)
-        assert calls["kw"] == {"whatever": 3}
-
-    def test_cluster_kinds_matches_family_names(self, capsys):
-        assert cluster_kinds() == family_names()
-        capsys.readouterr()
-
-    def test_note_printed_once_per_process(self, capsys):
-        cluster_kinds()
-        cluster_kinds()
-        err = capsys.readouterr().err
-        assert err.count("cluster_kinds() is deprecated") <= 1
 
 
 class TestFamilyDataclass:
